@@ -14,7 +14,9 @@
  * --replay re-runs a bug dossier's repro.sql (core/dossier.h) on a
  * fresh connection: exit 0 when the oracle still flags the bug, 1 when
  * it does not reproduce — the verification hook trace_smoke.sh and the
- * dossier integration test rely on.
+ * dossier integration test rely on. It also names the injected faults
+ * that fired during the replay: the candidates ground-truth
+ * attribution ablates.
  */
 #include <cstdio>
 #include <cstdlib>
@@ -40,11 +42,13 @@ main(int argc, char **argv)
             return 2;
         }
         std::string details;
-        bool reproduced = replayReproFile(argv[2], &details);
+        FaultSet fired;
+        bool reproduced = replayReproFile(argv[2], &details, &fired);
         std::printf("%s: %s\n", argv[2],
                     reproduced ? "bug reproduced" : "did NOT reproduce");
         if (!details.empty())
             std::printf("  %s\n", details.c_str());
+        std::printf("  fired faults: %s\n", faultNames(fired).c_str());
         return reproduced ? 0 : 1;
     }
     std::string dialect = argc > 1 ? argv[1] : "cratedb-like";

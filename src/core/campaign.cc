@@ -417,15 +417,39 @@ std::optional<FaultId>
 CampaignRunner::attributeFault(const DialectProfile &profile,
                                const BugCase &bug)
 {
-    if (!reproduces(profile, bug))
-        return std::nullopt;
-    for (FaultId fault : profile.faults.ids()) {
+    // One captured replay tells which faults fired. Disabling a fault
+    // that did not fire replays bit-identically (FaultCapture), so the
+    // bug would still reproduce: ablating only the fired faults, in
+    // ascending id order, finds what ablating every enabled one would.
+    FaultSet fired;
+    {
+        FaultCapture capture;
+        SQLPP_COUNT("attribution.replays");
+        if (!reproduces(profile, bug))
+            return std::nullopt;
+        fired = capture.fired() & profile.faults;
+    }
+    std::optional<FaultId> found;
+    for (FaultId fault : fired.ids()) {
         DialectProfile ablated = profile;
         ablated.faults.disable(fault);
-        if (!reproduces(ablated, bug))
-            return fault;
+        SQLPP_COUNT("attribution.replays");
+        if (!reproduces(ablated, bug)) {
+            found = fault;
+            break;
+        }
     }
-    return std::nullopt;
+    // Full ablation would also have replayed every enabled fault below
+    // the culprit (or every one, when none) that did not fire.
+    uint64_t skipped = 0;
+    for (FaultId fault : profile.faults.ids()) {
+        if (found.has_value() && fault > *found)
+            break;
+        if (!fired.isEnabled(fault))
+            ++skipped;
+    }
+    SQLPP_COUNT_N("attribution.ablations_skipped", skipped);
+    return found;
 }
 
 size_t

@@ -249,6 +249,9 @@ class CampaignRunner
     /**
      * Ground-truth attribution: find the injected fault whose removal
      * makes the bug disappear. nullopt when no single fault explains it.
+     * Replays once under a FaultCapture, then ablates only the faults
+     * that fired, lowest id first; the answer equals ablating every
+     * enabled fault in that order.
      */
     static std::optional<FaultId>
     attributeFault(const DialectProfile &profile, const BugCase &bug);

@@ -223,7 +223,8 @@ parseReproFile(const std::string &path)
 }
 
 bool
-replayReproFile(const std::string &path, std::string *details)
+replayReproFile(const std::string &path, std::string *details,
+                FaultSet *fired)
 {
     auto parsed = parseReproFile(path);
     if (!parsed.isOk()) {
@@ -239,9 +240,12 @@ replayReproFile(const std::string &path, std::string *details)
         return false;
     }
     OracleResult replayed;
+    FaultCapture capture;
     bool is_bug = CampaignRunner::reproduces(*profile, bug, &replayed);
     if (details != nullptr)
         *details = replayed.details;
+    if (fired != nullptr)
+        *fired = capture.fired();
     return is_bug;
 }
 

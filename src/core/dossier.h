@@ -36,6 +36,7 @@
 
 #include "core/feedback.h"
 #include "core/reducer.h"
+#include "engine/faults.h"
 #include "util/status.h"
 
 namespace sqlpp {
@@ -81,10 +82,13 @@ StatusOr<BugCase> parseReproFile(const std::string &path);
 /**
  * Replay a repro.sql on a fresh connection: rebuild the setup, rerun
  * the oracle. True when the bug still manifests. `details`, when
- * non-null, receives the oracle's evidence (or the failure reason).
+ * non-null, receives the oracle's evidence (or the failure reason);
+ * `fired`, when non-null, the injected faults that fired during the
+ * replay (FaultCapture).
  */
 bool replayReproFile(const std::string &path,
-                     std::string *details = nullptr);
+                     std::string *details = nullptr,
+                     FaultSet *fired = nullptr);
 
 /**
  * Write the full dossier directory for one case. Creates

@@ -169,6 +169,10 @@ Database::readCatalog(SessionId session, bool predicated,
                  FaultId::TxnPhantomClaimedSnapshot));
         if (follow_committed && commit_version_ != txn->baseVersion) {
             SQLPP_COVER("db.txn.fault.snapshot_leak");
+            (void)config_.faults.fires(FaultId::TxnNonRepeatableRead);
+            if (predicated)
+                (void)config_.faults.fires(
+                    FaultId::TxnPhantomClaimedSnapshot);
             scratch = std::make_unique<Catalog>(catalog_);
             overlayLog(*scratch, txn->log);
             base = scratch.get();
@@ -185,6 +189,7 @@ Database::readCatalog(SessionId session, bool predicated,
         }
         if (any_other) {
             SQLPP_COVER("db.txn.fault.dirty_read");
+            noteFaultFired(FaultId::TxnDirtyRead);
             if (scratch == nullptr || scratch.get() != base)
                 scratch = std::make_unique<Catalog>(*base);
             for (const auto &[sid, other] : txns_) {
@@ -225,7 +230,11 @@ Database::runTxnStmt(const TxnStmt &stmt, SessionId session)
             // The bug: publish the session's private version wholesale
             // instead of replaying its writes onto the latest committed
             // state — anything committed since BEGIN is clobbered.
+            // Marked on every such COMMIT: a failed auto-commit write
+            // can change the committed state without a new version, so
+            // no cheap test tells a harmless publish from a clobber.
             SQLPP_COVER("db.txn.fault.lost_update");
+            noteFaultFired(FaultId::TxnLostUpdate);
             catalog_ = std::move(*txn->view);
             ++commit_version_;
             txns_.erase(it);

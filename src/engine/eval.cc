@@ -410,8 +410,8 @@ evalEquality(const Value &lhs, const Value &rhs, const EvalContext &ctx)
     if (lhs.isNull() || rhs.isNull())
         return std::nullopt;
     bool mixed = isNumericClass(lhs) != isNumericClass(rhs);
-    if (mixed && ctx.faultEnabled(FaultId::NegContextMixedEq) &&
-        (ctx.negationDepth % 2) == 1) {
+    if (mixed && (ctx.negationDepth % 2) == 1 &&
+        ctx.faultFires(FaultId::NegContextMixedEq)) {
         return *valueToNumeric(lhs) == *valueToNumeric(rhs);
     }
     auto cmp = compareSql(lhs, rhs);
@@ -437,7 +437,7 @@ evalComparison(BinaryOp op, const Value &lhs, const Value &rhs,
       case BinaryOp::NullSafeEq: {
         SQLPP_COVER("eval.op.nullsafe_eq");
         if (lhs.isNull() && rhs.isNull()) {
-            if (ctx.faultEnabled(FaultId::NullSafeEqBothNullFalse))
+            if (ctx.faultFires(FaultId::NullSafeEqBothNullFalse))
                 return Value::boolean(false);
             return Value::boolean(true);
         }
@@ -556,7 +556,8 @@ evalBinary(const BinaryExpr &expr, const EvalContext &ctx)
         bool ci = ctx.behavior == nullptr ||
                   ctx.behavior->caseInsensitiveLike;
         bool underscore_literal =
-            ctx.faultEnabled(FaultId::LikeUnderscoreLiteral);
+            pattern->find('_') != std::string::npos &&
+            ctx.faultFires(FaultId::LikeUnderscoreLiteral);
         bool matched = likeMatch(*text, *pattern, ci, underscore_literal);
         return Value::boolean(expr.op == BinaryOp::Like ? matched
                                                         : !matched);
@@ -586,15 +587,15 @@ evalUnary(const UnaryExpr &expr, const EvalContext &ctx)
             return operand;
         std::optional<bool> truth = valueTruth(operand.value());
         if (!truth.has_value()) {
-            if (ctx.faultEnabled(FaultId::NotNullTrue))
+            if (ctx.faultFires(FaultId::NotNullTrue))
                 return Value::boolean(true);
             // Root-keyed: only a doubly-negated tree delivered directly
             // as the evaluation result takes the faulty shortcut.
-            if (ctx.faultEnabled(FaultId::DoubleNegNullFalse) &&
-                ctx.rootExpr == static_cast<const Expr *>(&expr) &&
+            if (ctx.rootExpr == static_cast<const Expr *>(&expr) &&
                 expr.operand->kind() == ExprKind::Unary &&
                 static_cast<const UnaryExpr &>(*expr.operand).op ==
-                    UnaryOp::Not) {
+                    UnaryOp::Not &&
+                ctx.faultFires(FaultId::DoubleNegNullFalse)) {
                 SQLPP_COVER("eval.fault.double_neg_null_false");
                 return Value::boolean(false);
             }
@@ -652,8 +653,10 @@ evalUnary(const UnaryExpr &expr, const EvalContext &ctx)
                     static_cast<const UnaryExpr &>(*expr.operand).op ==
                     UnaryOp::Not;
             }
-            if (boolean_producer)
+            if (boolean_producer) {
+                noteFaultFired(FaultId::IsNullFalseForBoolNull);
                 return Value::boolean(false);
+            }
         }
         return Value::boolean(operand.isNull());
       }
@@ -665,7 +668,7 @@ evalUnary(const UnaryExpr &expr, const EvalContext &ctx)
         std::optional<bool> truth = valueTruth(operand);
         bool is_true = truth.has_value() && *truth;
         if (!is_true && truth.has_value() &&
-            ctx.faultEnabled(FaultId::IsTrueFalseTrue)) {
+            ctx.faultFires(FaultId::IsTrueFalseTrue)) {
             return Value::boolean(true);
         }
         return Value::boolean(is_true);
@@ -735,8 +738,7 @@ evalAggregate(const FunctionExpr &fn, const EvalContext &ctx)
     if (fn.name == "COUNT")
         return Value::integer(static_cast<int64_t>(values.size()));
     if (values.empty()) {
-        if (fn.name == "SUM" &&
-            ctx.faultEnabled(FaultId::SumEmptyZero)) {
+        if (fn.name == "SUM" && ctx.faultFires(FaultId::SumEmptyZero)) {
             return Value::integer(0);
         }
         return Value::null();

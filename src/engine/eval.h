@@ -129,6 +129,13 @@ class EvalContext
     {
         return faults != nullptr && faults->isEnabled(id);
     }
+
+    /** FaultSet::fires on this context's faults (none: false). */
+    bool
+    faultFires(FaultId id) const
+    {
+        return faults != nullptr && faults->fires(id);
+    }
 };
 
 /** Evaluate an expression to a Value (or a runtime/semantic error). */

@@ -126,6 +126,7 @@ constantFold(const Expr &expr, const EngineBehavior &behavior,
             isConstExpr(expr) &&
             printExpr(*fn.args[0]) == printExpr(*fn.args[1])) {
             SQLPP_COVER("planner.fold.nullif_fault");
+            noteFaultFired(FaultId::ConstFoldNullifIdentity);
             return constantFold(*fn.args[0], behavior, faults);
         }
     }
@@ -521,9 +522,7 @@ Executor::applySourceFilters(Source &source,
                     index.columnOrdinals[0] != ordinal) {
                     continue;
                 }
-                if (index.predicate != nullptr &&
-                    !faults_.isEnabled(
-                        FaultId::PartialIndexIgnoresPredicate)) {
+                if (index.predicate != nullptr) {
                     // A partial index is only usable when some other
                     // conjunct syntactically equals its predicate.
                     std::string pred_text = printExpr(*index.predicate);
@@ -535,7 +534,9 @@ Executor::applySourceFilters(Source &source,
                             break;
                         }
                     }
-                    if (!implied)
+                    if (!implied &&
+                        !faults_.fires(
+                            FaultId::PartialIndexIgnoresPredicate))
                         continue;
                 }
                 probe_conjunct = ci;
@@ -565,7 +566,7 @@ Executor::applySourceFilters(Source &source,
         Value key = probe_key;
         if (probe_op == ProbeOp::Eq &&
             key.kind() == Value::Kind::Text &&
-            faults_.isEnabled(FaultId::IndexEqTextCoerce)) {
+            faults_.fires(FaultId::IndexEqTextCoerce)) {
             key = Value::integer(valueToNumeric(key).value_or(0));
         }
         std::vector<size_t> ordinals;
@@ -577,27 +578,25 @@ Executor::applySourceFilters(Source &source,
             const Value &entry_key = entry.key[0];
             bool match = false;
             if (probe_op == ProbeOp::IsNull) {
-                if (faults_.isEnabled(FaultId::IndexSkipsNull))
-                    match = false;
-                else
-                    match = entry_key.isNull();
+                match = entry_key.isNull() &&
+                        !faults_.fires(FaultId::IndexSkipsNull);
             } else {
                 auto cmp = compareSql(entry_key, key);
                 if (cmp.has_value()) {
                     switch (probe_op) {
                       case ProbeOp::Eq: match = *cmp == 0; break;
                       case ProbeOp::Gt:
-                        match = faults_.isEnabled(
-                                    FaultId::IndexRangeGtIncludesEqual)
-                                    ? *cmp >= 0
-                                    : *cmp > 0;
+                        match = *cmp > 0 ||
+                                (*cmp == 0 &&
+                                 faults_.fires(
+                                     FaultId::IndexRangeGtIncludesEqual));
                         break;
                       case ProbeOp::Ge: match = *cmp >= 0; break;
                       case ProbeOp::Lt:
-                        match = faults_.isEnabled(
-                                    FaultId::IndexRangeLtIncludesEqual)
-                                    ? *cmp <= 0
-                                    : *cmp < 0;
+                        match = *cmp < 0 ||
+                                (*cmp == 0 &&
+                                 faults_.fires(
+                                     FaultId::IndexRangeLtIncludesEqual));
                         break;
                       case ProbeOp::Le: match = *cmp <= 0; break;
                       default: break;
@@ -693,7 +692,7 @@ Executor::predicateKeeps(const Expr &predicate, const Scope &scope,
     if (truth.has_value())
         return *truth;
     // NULL predicate: excluded, unless the WHERE fault is active.
-    return where_clause && faults_.isEnabled(FaultId::WhereNullAsTrue);
+    return where_clause && faults_.fires(FaultId::WhereNullAsTrue);
 }
 
 Status
@@ -806,6 +805,7 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                     static_cast<const LiteralExpr &>(*top.rhs).value;
                 if (rhs.kind() == Value::Kind::Bool && rhs.asBool()) {
                     SQLPP_COVER("planner.fault.true_absorbs_and");
+                    noteFaultFired(FaultId::ConstFoldTrueAbsorbsAnd);
                     note("ANDTRUE");
                     where_owned = std::make_unique<LiteralExpr>(
                         Value::boolean(true));
@@ -834,6 +834,7 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                 if (select.joins[j].type == JoinType::Right &&
                     on_owned[j] != nullptr) {
                     SQLPP_COVER("planner.fault.on_to_where");
+                    noteFaultFired(FaultId::OnToWhereRightJoin);
                     note("ON2WHERE");
                     extra_owned.push_back(std::move(on_owned[j]));
                 }
@@ -892,8 +893,10 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                 bool legal =
                     !sources[target].nullable ||
                     faults_.isEnabled(FaultId::PushdownThroughOuterJoin);
-                if (sources[target].nullable && legal)
+                if (sources[target].nullable && legal) {
                     SQLPP_COVER("planner.fault.pushdown_outer");
+                    noteFaultFired(FaultId::PushdownThroughOuterJoin);
+                }
                 if (legal) {
                     SQLPP_COVER("planner.pushdown");
                     pushed[target].push_back(conjunct);
@@ -1056,8 +1059,13 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                     }
                     for (size_t ri = 0; ri < right.rows.size(); ++ri) {
                         const Value &key = right.rows[ri][right_col];
-                        if (key.isNull() && !null_match)
-                            continue;
+                        if (key.isNull()) {
+                            // A NULL left key can only find the NULL
+                            // bucket, so this is the one divergence.
+                            if (!null_match)
+                                continue;
+                            noteFaultFired(FaultId::HashJoinNullMatch);
+                        }
                         buckets[hash_key(key)].push_back(ri);
                     }
                     for (const Row &left_row : current) {
@@ -1332,6 +1340,7 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
                         return value.status();
                     if (value.value().isNull() && null_separate) {
                         SQLPP_COVER("exec.fault.group_null_separate");
+                        noteFaultFired(FaultId::GroupByNullSeparate);
                         key += format("n#%zu", null_counter++);
                     } else {
                         key += valueKey(value.value());
@@ -1428,8 +1437,10 @@ Executor::runSelectImpl(const SelectStmt &select, const EvalContext *outer)
             std::string key = (null_collapse && has_null)
                                   ? std::string("\x01NULLROW")
                                   : rowKey(row);
-            if (null_collapse && has_null)
+            if (null_collapse && has_null) {
                 SQLPP_COVER("exec.fault.distinct_null_collapse");
+                noteFaultFired(FaultId::DistinctNullCollapse);
+            }
             if (seen.insert(key).second)
                 kept.push_back(i);
         }

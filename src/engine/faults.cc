@@ -5,35 +5,21 @@ namespace sqlpp {
 const std::vector<FaultId> &
 allFaultIds()
 {
-    static const std::vector<FaultId> ids = {
-        FaultId::IndexRangeGtIncludesEqual,
-        FaultId::IndexRangeLtIncludesEqual,
-        FaultId::IndexSkipsNull,
-        FaultId::IndexEqTextCoerce,
-        FaultId::PartialIndexIgnoresPredicate,
-        FaultId::PushdownThroughOuterJoin,
-        FaultId::OnToWhereRightJoin,
-        FaultId::HashJoinNullMatch,
-        FaultId::ConstFoldNullifIdentity,
-        FaultId::ConstFoldTrueAbsorbsAnd,
-        FaultId::NotNullTrue,
-        FaultId::IsNullFalseForBoolNull,
-        FaultId::WhereNullAsTrue,
-        FaultId::NegContextMixedEq,
-        FaultId::IsTrueFalseTrue,
-        FaultId::DistinctNullCollapse,
-        FaultId::ReplaceNumericSubject,
-        FaultId::DoubleNegNullFalse,
-        FaultId::NullSafeEqBothNullFalse,
-        FaultId::SumEmptyZero,
-        FaultId::GroupByNullSeparate,
-        FaultId::LikeUnderscoreLiteral,
-        FaultId::TxnDirtyRead,
-        FaultId::TxnNonRepeatableRead,
-        FaultId::TxnPhantomClaimedSnapshot,
-        FaultId::TxnLostUpdate,
-    };
+    static const std::vector<FaultId> ids(std::begin(kAllFaultIds),
+                                          std::end(kAllFaultIds));
     return ids;
+}
+
+FaultCapture::FaultCapture() : previous_(t_active)
+{
+    t_active = this;
+}
+
+FaultCapture::~FaultCapture()
+{
+    t_active = previous_;
+    if (previous_ != nullptr)
+        previous_->fired_ |= fired_;
 }
 
 const char *
@@ -81,6 +67,18 @@ faultName(FaultId id)
       case FaultId::TxnLostUpdate: return "TXN_LOST_UPDATE";
     }
     return "UNKNOWN_FAULT";
+}
+
+std::string
+faultNames(const FaultSet &faults)
+{
+    std::string out;
+    for (FaultId id : faults.ids()) {
+        if (!out.empty())
+            out += ", ";
+        out += faultName(id);
+    }
+    return out.empty() ? "none" : out;
 }
 
 const char *

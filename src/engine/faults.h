@@ -29,8 +29,10 @@
 #ifndef SQLPP_ENGINE_FAULTS_H
 #define SQLPP_ENGINE_FAULTS_H
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <set>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -143,6 +145,43 @@ enum class FaultId : uint32_t
     TxnLostUpdate = 63,
 };
 
+/** All fault ids, in declaration order (ascending). */
+inline constexpr FaultId kAllFaultIds[] = {
+    FaultId::IndexRangeGtIncludesEqual,
+    FaultId::IndexRangeLtIncludesEqual,
+    FaultId::IndexSkipsNull,
+    FaultId::IndexEqTextCoerce,
+    FaultId::PartialIndexIgnoresPredicate,
+    FaultId::PushdownThroughOuterJoin,
+    FaultId::OnToWhereRightJoin,
+    FaultId::HashJoinNullMatch,
+    FaultId::ConstFoldNullifIdentity,
+    FaultId::ConstFoldTrueAbsorbsAnd,
+    FaultId::NotNullTrue,
+    FaultId::IsNullFalseForBoolNull,
+    FaultId::WhereNullAsTrue,
+    FaultId::NegContextMixedEq,
+    FaultId::IsTrueFalseTrue,
+    FaultId::DistinctNullCollapse,
+    FaultId::ReplaceNumericSubject,
+    FaultId::DoubleNegNullFalse,
+    FaultId::NullSafeEqBothNullFalse,
+    FaultId::SumEmptyZero,
+    FaultId::GroupByNullSeparate,
+    FaultId::LikeUnderscoreLiteral,
+    FaultId::TxnDirtyRead,
+    FaultId::TxnNonRepeatableRead,
+    FaultId::TxnPhantomClaimedSnapshot,
+    FaultId::TxnLostUpdate,
+};
+
+// FaultSet stores one bit per id value.
+static_assert(std::all_of(std::begin(kAllFaultIds), std::end(kAllFaultIds),
+                          [](FaultId id) {
+                              return static_cast<uint32_t>(id) < 64;
+                          }),
+              "every fault id must fit a 64-bit FaultSet mask");
+
 /** All fault ids, in declaration order. */
 const std::vector<FaultId> &allFaultIds();
 
@@ -161,25 +200,139 @@ bool isLatentFault(FaultId id);
 /** True for the multi-session isolation fault family (60-block). */
 bool isIsolationFault(FaultId id);
 
-/** An enabled subset of faults, owned by a Database configuration. */
+/**
+ * A subset of faults: the ones a Database configuration enables, or the
+ * ones a replay saw fire (FaultCapture). One bit per id value, so a
+ * hook's isEnabled() is a mask test and a copy is one word.
+ */
 class FaultSet
 {
   public:
     FaultSet() = default;
     explicit FaultSet(std::initializer_list<FaultId> ids)
-        : enabled_(ids) {}
+    {
+        for (FaultId id : ids)
+            enable(id);
+    }
 
-    void enable(FaultId id) { enabled_.insert(id); }
-    void disable(FaultId id) { enabled_.erase(id); }
-    bool isEnabled(FaultId id) const { return enabled_.count(id) > 0; }
-    bool empty() const { return enabled_.empty(); }
-    size_t size() const { return enabled_.size(); }
+    void enable(FaultId id) { mask_ |= bit(id); }
+    void disable(FaultId id) { mask_ &= ~bit(id); }
+    bool isEnabled(FaultId id) const { return (mask_ & bit(id)) != 0; }
+    bool empty() const { return mask_ == 0; }
+    size_t size() const { return std::popcount(mask_); }
 
-    const std::set<FaultId> &ids() const { return enabled_; }
+    /**
+     * Divergence point of a fault hook: true when @p id is enabled, and
+     * then recorded as fired in the thread's FaultCapture. Call it only
+     * where the faulty branch departs from correct behaviour, after
+     * every structural condition of that branch has been checked.
+     */
+    bool fires(FaultId id) const;
+
+    /** The ids in the set, in ascending id order. */
+    std::vector<FaultId>
+    ids() const
+    {
+        std::vector<FaultId> out;
+        for (uint64_t rest = mask_; rest != 0; rest &= rest - 1)
+            out.push_back(static_cast<FaultId>(std::countr_zero(rest)));
+        return out;
+    }
+
+    /** The faults in both sets. */
+    FaultSet
+    operator&(const FaultSet &other) const
+    {
+        FaultSet both;
+        both.mask_ = mask_ & other.mask_;
+        return both;
+    }
+
+    FaultSet &
+    operator|=(const FaultSet &other)
+    {
+        mask_ |= other.mask_;
+        return *this;
+    }
+
+    bool operator==(const FaultSet &) const = default;
 
   private:
-    std::set<FaultId> enabled_;
+    static constexpr uint64_t
+    bit(FaultId id)
+    {
+        return uint64_t{1} << static_cast<uint32_t>(id);
+    }
+
+    uint64_t mask_ = 0;
 };
+
+/**
+ * Thread-local record of the faults that fired: the fault hooks whose
+ * faulty branch actually departed from correct behaviour while the
+ * capture was installed.
+ *
+ * Exactness rule: a fault that did not fire could have been disabled
+ * without changing anything the engine did. So a replay with that
+ * fault disabled is bit-identical to the captured one, and ground-truth
+ * attribution (CampaignRunner::attributeFault) only has to ablate the
+ * fired faults. Every hook therefore marks at its divergence point
+ * (FaultSet::fires / noteFaultFired), and a read of the whole set that
+ * changes behaviour marks the faults it depends on.
+ *
+ * RAII, like CoverageCapture: constructing installs the capture on the
+ * current thread (stacking over any previous one); destructing restores
+ * the previous capture and credits it with everything that fired in
+ * between. With no capture installed a divergence point costs one null
+ * check.
+ */
+class FaultCapture
+{
+  public:
+    FaultCapture();
+    ~FaultCapture();
+    FaultCapture(const FaultCapture &) = delete;
+    FaultCapture &operator=(const FaultCapture &) = delete;
+
+    /** Faults that fired on this thread since construction. */
+    const FaultSet &fired() const { return fired_; }
+
+    /** The calling thread's innermost capture, or nullptr. */
+    static FaultCapture *
+    active()
+    {
+        return t_active;
+    }
+
+    /** Record that @p id fired (called via noteFaultFired). */
+    void note(FaultId id) { fired_.enable(id); }
+
+  private:
+    static inline constinit thread_local FaultCapture *t_active = nullptr;
+
+    FaultSet fired_;
+    FaultCapture *previous_ = nullptr;
+};
+
+/** Record that @p id departed from correct behaviour on this thread. */
+inline void
+noteFaultFired(FaultId id)
+{
+    if (FaultCapture *capture = FaultCapture::active())
+        capture->note(id);
+}
+
+inline bool
+FaultSet::fires(FaultId id) const
+{
+    if (!isEnabled(id))
+        return false;
+    noteFaultFired(id);
+    return true;
+}
+
+/** Names of the faults in @p faults, ascending ("A, B"; "none"). */
+std::string faultNames(const FaultSet &faults);
 
 } // namespace sqlpp
 

@@ -348,9 +348,9 @@ FunctionRegistry::FunctionRegistry()
              // The Listing 3 fault: the result keeps the subject's
              // numeric type instead of being coerced to TEXT, which
              // later derails mixed-type comparisons.
-             if (ctx.faultEnabled(FaultId::ReplaceNumericSubject) &&
-                 (args[0].kind() == Value::Kind::Int ||
-                  args[0].kind() == Value::Kind::Bool)) {
+             if ((args[0].kind() == Value::Kind::Int ||
+                  args[0].kind() == Value::Kind::Bool) &&
+                 ctx.faultFires(FaultId::ReplaceNumericSubject)) {
                  std::string replaced = *text;
                  if (!from->empty()) {
                      // Apply the replacement textually, then re-read.
@@ -480,10 +480,11 @@ FunctionRegistry::FunctionRegistry()
              auto count = valueToNumeric(args[1]);
              if (!text || !count)
                  return Value::null();
-             if (*count <= 0)
+             if (*count <= 0 || text->empty())
                  return Value::text("");
-             if (static_cast<int64_t>(text->size()) * *count >
-                 kMaxGeneratedStringLength) {
+             // Divide rather than multiply: size * count can overflow.
+             if (*count > kMaxGeneratedStringLength /
+                              static_cast<int64_t>(text->size())) {
                  return Status::runtimeError("string too long in REPEAT");
              }
              std::string out;

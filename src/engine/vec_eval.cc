@@ -818,8 +818,16 @@ compileVecExpr(const Expr &expr, const Scope &scope,
     // fault must flow through the shared row evaluator so it manifests
     // identically in every execution mode — that is what makes the
     // fault × oracle detection matrix mode-invariant.
-    if (!faults.empty())
+    if (!faults.empty()) {
+        // Disabling a profile's only fault switches the kernels on, so
+        // when this expression has a kernel the refusal is that fault's
+        // doing (FaultCapture's exactness rule).
+        if (FaultCapture::active() != nullptr && faults.size() == 1 &&
+            compileNode(expr, scope, behavior) != nullptr) {
+            noteFaultFired(faults.ids().front());
+        }
         return nullptr;
+    }
     return compileNode(expr, scope, behavior);
 }
 

@@ -814,6 +814,9 @@ declarePlatformMetrics()
         {"reducer.setup.removed", MetricKind::Histogram},
         {"reducer.shrink.percent", MetricKind::Histogram},
         {"reducer.reduce.wall_us", MetricKind::Timer},
+        // Ground-truth attribution (CampaignRunner::attributeFault).
+        {"attribution.replays", MetricKind::Counter},
+        {"attribution.ablations_skipped", MetricKind::Counter},
         // Engine budget.
         {"budget.exhausted.steps", MetricKind::Counter},
         {"budget.exhausted.rows", MetricKind::Counter},

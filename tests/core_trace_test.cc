@@ -190,8 +190,14 @@ TEST_F(TraceIntegrationTest, EveryDossierReproReproduces)
         fs::path repro = entry.path() / "repro.sql";
         ASSERT_TRUE(fs::exists(repro)) << repro;
         std::string details;
-        EXPECT_TRUE(replayReproFile(repro.string(), &details))
+        FaultSet fired;
+        EXPECT_TRUE(replayReproFile(repro.string(), &details, &fired))
             << repro << ": " << details;
+        // The dialect's oracles are silent without faults, so some
+        // enabled fault must have fired for the bug to manifest.
+        EXPECT_FALSE(fired.empty()) << repro;
+        EXPECT_EQ(fired & findDialect("sqlite-like")->faults, fired)
+            << faultNames(fired);
         ++replayed;
     }
     EXPECT_EQ(replayed, report.dossiersWritten);

@@ -6,7 +6,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "engine/database.h"
+#include "parser/parser.h"
 
 namespace sqlpp {
 namespace {
@@ -70,6 +74,272 @@ TEST(FaultSetTest, EnableDisable)
     EXPECT_FALSE(faults.isEnabled(FaultId::WhereNullAsTrue));
     faults.disable(FaultId::NotNullTrue);
     EXPECT_TRUE(faults.empty());
+}
+
+TEST(FaultSetTest, IdsIterateAscendingWhateverTheInsertOrder)
+{
+    FaultSet faults{FaultId::TxnLostUpdate, FaultId::NotNullTrue,
+                    FaultId::IndexRangeGtIncludesEqual};
+    EXPECT_EQ(faults.ids(),
+              (std::vector<FaultId>{FaultId::IndexRangeGtIncludesEqual,
+                                    FaultId::NotNullTrue,
+                                    FaultId::TxnLostUpdate}));
+    EXPECT_EQ(faults.size(), 3u);
+    FaultSet every;
+    for (FaultId id : allFaultIds())
+        every.enable(id);
+    EXPECT_EQ(every.ids(), allFaultIds());
+    EXPECT_EQ(every & faults, faults);
+}
+
+TEST(FaultCaptureTest, RecordsOnlyOnItsThreadAndCreditsTheEnclosingOne)
+{
+    FaultSet faults{FaultId::NotNullTrue};
+    EXPECT_TRUE(faults.fires(FaultId::NotNullTrue)); // no capture: fine
+    FaultCapture outer;
+    {
+        FaultCapture inner;
+        EXPECT_FALSE(faults.fires(FaultId::WhereNullAsTrue));
+        EXPECT_TRUE(faults.fires(FaultId::NotNullTrue));
+        EXPECT_EQ(inner.fired(), FaultSet{FaultId::NotNullTrue});
+        EXPECT_TRUE(outer.fired().empty());
+    }
+    EXPECT_EQ(outer.fired(), FaultSet{FaultId::NotNullTrue});
+    EXPECT_EQ(FaultCapture::active(), &outer);
+}
+
+/** Faults that fired while @p sql ran. */
+FaultSet
+firedBy(Database &db, const std::string &sql,
+        SessionId session = Database::kDefaultSession)
+{
+    FaultCapture capture;
+    auto result = db.execute(sql, session);
+    EXPECT_TRUE(result.isOk()) << sql << ": " << result.status().toString();
+    return capture.fired();
+}
+
+/** True when @p sql returns the same row multiset on both engines. */
+bool
+sameRows(Database &db, Database &clean, const std::string &sql)
+{
+    auto got = db.execute(sql);
+    auto want = clean.execute(sql);
+    EXPECT_TRUE(got.isOk() && want.isOk()) << sql;
+    return got.isOk() && want.isOk() &&
+           got.value().sameRowMultiset(want.value());
+}
+
+/**
+ * One single-session fault, two statements: one its hook changes (the
+ * fault must be marked as fired), one that consults the hook without a
+ * change (nothing may be marked). The setup runs after seed().
+ */
+struct ProvenancePair
+{
+    FaultId fault;
+    std::vector<const char *> setup;
+    const char *diverges;
+    const char *quiet;
+};
+
+const std::vector<ProvenancePair> &
+provenancePairs()
+{
+    static const std::vector<ProvenancePair> pairs = {
+        {FaultId::IndexRangeGtIncludesEqual,
+         {"CREATE INDEX i0 ON t0(c0)"},
+         "SELECT * FROM t0 WHERE c0 > 2",
+         "SELECT * FROM t0 WHERE c0 > 5"},
+        {FaultId::IndexRangeLtIncludesEqual,
+         {"CREATE INDEX i0 ON t0(c0)"},
+         "SELECT * FROM t0 WHERE c0 < 2",
+         "SELECT * FROM t0 WHERE c0 < 0"},
+        {FaultId::IndexSkipsNull,
+         {"CREATE INDEX i0 ON t0(c0)", "CREATE TABLE t1 (c0 INT)",
+          "INSERT INTO t1 VALUES (1)", "CREATE INDEX i1 ON t1(c0)"},
+         "SELECT * FROM t0 WHERE c0 IS NULL",
+         "SELECT * FROM t1 WHERE c0 IS NULL"},
+        {FaultId::IndexEqTextCoerce,
+         {"CREATE INDEX i0 ON t0(c0)"},
+         "SELECT * FROM t0 WHERE c0 = '2'",
+         "SELECT * FROM t0 WHERE c0 = 2"},
+        {FaultId::PartialIndexIgnoresPredicate,
+         {"CREATE INDEX i0 ON t0(c0) WHERE (c0 > 2)"},
+         "SELECT * FROM t0 WHERE c0 = 1",
+         "SELECT * FROM t0 WHERE c0 = 3 AND (c0 > 2)"},
+        {FaultId::PushdownThroughOuterJoin,
+         {"CREATE TABLE t1 (c0 INT)", "INSERT INTO t1 VALUES (1)"},
+         "SELECT * FROM t0 LEFT JOIN t1 ON t0.c0 = t1.c0 "
+         "WHERE t1.c0 IS NULL",
+         "SELECT * FROM t0 LEFT JOIN t1 ON t0.c0 = t1.c0 "
+         "WHERE t0.c0 > 1"},
+        {FaultId::OnToWhereRightJoin,
+         {"CREATE TABLE t1 (c0 INT)", "INSERT INTO t1 VALUES (1), (9)"},
+         "SELECT * FROM t0 RIGHT JOIN t1 ON t0.c0 = t1.c0 WHERE TRUE",
+         "SELECT * FROM t0 LEFT JOIN t1 ON t0.c0 = t1.c0 WHERE TRUE"},
+        {FaultId::HashJoinNullMatch,
+         {"CREATE TABLE t1 (c0 INT)", "INSERT INTO t1 VALUES (NULL), (2)",
+          "CREATE TABLE t2 (c0 INT)", "INSERT INTO t2 VALUES (2)"},
+         "SELECT * FROM t0 INNER JOIN t1 ON t0.c0 = t1.c0",
+         // t0's NULL key probes, but no NULL key entered a bucket.
+         "SELECT * FROM t0 INNER JOIN t2 ON t0.c0 = t2.c0"},
+        {FaultId::ConstFoldNullifIdentity, {},
+         "SELECT * FROM t0 WHERE NULLIF(2, 2)",
+         "SELECT * FROM t0 WHERE NULLIF(2, 3) = 2"},
+        {FaultId::ConstFoldTrueAbsorbsAnd, {},
+         "SELECT * FROM t0 WHERE (c0 > 1) AND TRUE",
+         "SELECT * FROM t0 WHERE (c0 > 1) AND (c0 < 3)"},
+        {FaultId::NotNullTrue, {},
+         "SELECT * FROM t0 WHERE NOT (c0 > 1)",
+         "SELECT * FROM t0 WHERE NOT (c1 = 'a')"},
+        {FaultId::IsNullFalseForBoolNull, {},
+         "SELECT * FROM t0 WHERE (c0 > 1) IS NULL",
+         "SELECT * FROM t0 WHERE c0 IS NULL"},
+        {FaultId::WhereNullAsTrue, {},
+         "SELECT * FROM t0 WHERE c0 > 1",
+         "SELECT * FROM t0 WHERE c1 <> 'z'"},
+        {FaultId::NegContextMixedEq,
+         {"INSERT INTO t0 VALUES (7, '1')"},
+         "SELECT * FROM t0 WHERE NOT (c1 = 1)",
+         "SELECT * FROM t0 WHERE c1 = 1"},
+        {FaultId::IsTrueFalseTrue, {},
+         "SELECT * FROM t0 WHERE (c0 > 99) IS TRUE",
+         "SELECT * FROM t0 WHERE (c0 > 0) IS TRUE"},
+        {FaultId::DistinctNullCollapse,
+         {"INSERT INTO t0 VALUES (NULL, 'e')"},
+         "SELECT DISTINCT c0, c1 FROM t0",
+         "SELECT DISTINCT c1 FROM t0"},
+        {FaultId::ReplaceNumericSubject, {},
+         "SELECT REPLACE(12, '1', '3') = '32'",
+         "SELECT REPLACE('12', '1', '3') = '32'"},
+        {FaultId::DoubleNegNullFalse, {},
+         "SELECT NOT (NOT (c0 > 1)) FROM t0",
+         // Not the evaluation root: the shortcut is never taken.
+         "SELECT (NOT (NOT (c0 > 1))) IS NULL FROM t0"},
+        {FaultId::NullSafeEqBothNullFalse, {},
+         "SELECT * FROM t0 WHERE c0 <=> NULL",
+         "SELECT * FROM t0 WHERE c0 <=> 2"},
+        {FaultId::SumEmptyZero, {},
+         "SELECT SUM(c0) FROM t0 WHERE c0 > 99",
+         "SELECT SUM(c0) FROM t0"},
+        {FaultId::GroupByNullSeparate,
+         {"INSERT INTO t0 VALUES (NULL, 'e')"},
+         "SELECT c0 FROM t0 GROUP BY c0",
+         "SELECT c1 FROM t0 GROUP BY c1"},
+        {FaultId::LikeUnderscoreLiteral, {},
+         "SELECT * FROM t0 WHERE c1 LIKE '_'",
+         "SELECT * FROM t0 WHERE c1 LIKE 'a%'"},
+    };
+    return pairs;
+}
+
+TEST(FaultProvenanceTest, EverySingleSessionFaultHasAPair)
+{
+    std::set<FaultId> paired;
+    for (const ProvenancePair &pair : provenancePairs())
+        paired.insert(pair.fault);
+    for (FaultId fault : allFaultIds())
+        EXPECT_EQ(paired.count(fault), isIsolationFault(fault) ? 0u : 1u)
+            << faultName(fault);
+}
+
+TEST(FaultProvenanceTest, MarkedExactlyWhereTheHookDiverges)
+{
+    for (const ProvenancePair &pair : provenancePairs()) {
+        SCOPED_TRACE(faultName(pair.fault));
+        Database db = faultyDb(pair.fault);
+        Database clean;
+        for (Database *target : {&db, &clean}) {
+            seed(*target);
+            for (const char *sql : pair.setup)
+                ASSERT_TRUE(target->execute(sql).isOk()) << sql;
+        }
+        EXPECT_EQ(firedBy(db, pair.diverges), FaultSet{pair.fault});
+        EXPECT_FALSE(sameRows(db, clean, pair.diverges));
+        // Unmarked means a fault-free engine does exactly the same.
+        EXPECT_TRUE(firedBy(db, pair.quiet).empty());
+        EXPECT_TRUE(sameRows(db, clean, pair.quiet));
+    }
+}
+
+TEST(FaultProvenanceTest, IsolationFaultsMarkOnlyWhenTheyLeak)
+{
+    auto count = [](Database &db, const char *sql, SessionId session) {
+        auto result = db.execute(sql, session);
+        EXPECT_TRUE(result.isOk()) << sql;
+        return result.isOk() ? result.value().rowCount() : 0u;
+    };
+    {
+        Database db = faultyDb(FaultId::TxnDirtyRead);
+        ASSERT_TRUE(db.execute("CREATE TABLE t (a INT)").isOk());
+        SessionId writer = db.openSession();
+        SessionId reader = db.openSession();
+        ASSERT_TRUE(db.execute("BEGIN", writer).isOk());
+        // Nothing pending in another session yet: nothing to leak.
+        EXPECT_TRUE(firedBy(db, "SELECT * FROM t", reader).empty());
+        ASSERT_TRUE(db.execute("INSERT INTO t VALUES (1)", writer).isOk());
+        EXPECT_EQ(firedBy(db, "SELECT * FROM t", reader),
+                  FaultSet{FaultId::TxnDirtyRead});
+        EXPECT_EQ(count(db, "SELECT * FROM t", reader), 1u);
+    }
+    for (FaultId fault : {FaultId::TxnNonRepeatableRead,
+                          FaultId::TxnPhantomClaimedSnapshot}) {
+        SCOPED_TRACE(faultName(fault));
+        Database db = faultyDb(fault);
+        ASSERT_TRUE(db.execute("CREATE TABLE t (a INT)").isOk());
+        SessionId reader = db.openSession();
+        ASSERT_TRUE(db.execute("BEGIN", reader).isOk());
+        // No commit since BEGIN: the snapshot is the committed state.
+        EXPECT_TRUE(
+            firedBy(db, "SELECT * FROM t WHERE a > 0", reader).empty());
+        ASSERT_TRUE(db.execute("INSERT INTO t VALUES (1)").isOk());
+        EXPECT_EQ(firedBy(db, "SELECT * FROM t WHERE a > 0", reader),
+                  FaultSet{fault});
+        EXPECT_EQ(count(db, "SELECT * FROM t WHERE a > 0", reader), 1u);
+        // A full scan leaks only under the non-repeatable-read fault.
+        bool leaks = fault == FaultId::TxnNonRepeatableRead;
+        EXPECT_EQ(firedBy(db, "SELECT * FROM t", reader).empty(), !leaks);
+        EXPECT_EQ(count(db, "SELECT * FROM t", reader), leaks ? 1u : 0u);
+    }
+    {
+        Database db = faultyDb(FaultId::TxnLostUpdate);
+        ASSERT_TRUE(db.execute("CREATE TABLE t (a INT)").isOk());
+        SessionId s1 = db.openSession();
+        ASSERT_TRUE(db.execute("BEGIN", s1).isOk());
+        ASSERT_TRUE(db.execute("INSERT INTO t VALUES (1)", s1).isOk());
+        EXPECT_TRUE(firedBy(db, "ROLLBACK", s1).empty());
+        ASSERT_TRUE(db.execute("BEGIN", s1).isOk());
+        EXPECT_EQ(firedBy(db, "COMMIT", s1),
+                  FaultSet{FaultId::TxnLostUpdate});
+    }
+}
+
+TEST(FaultProvenanceTest, KernelSwitchMarksAnEnginesOnlyFault)
+{
+#ifdef SQLPP_NO_BATCH
+    GTEST_SKIP() << "batch execution compiled out";
+#else
+    // Batch mode refuses kernels while any fault is enabled. Disabling
+    // an engine's only fault switches them on, so the refusal counts
+    // as that fault firing; with two faults neither can flip it.
+    auto fired = [](FaultSet faults, ExecMode mode) {
+        EngineConfig config;
+        config.faults = faults;
+        Database db(config);
+        seed(db);
+        auto stmt = parseStatement("SELECT c0 FROM t0 WHERE c0 > 1");
+        EXPECT_TRUE(stmt.isOk());
+        FaultCapture capture;
+        EXPECT_TRUE(db.executeStmt(*stmt.value(), mode).isOk());
+        return capture.fired();
+    };
+    FaultSet one{FaultId::SumEmptyZero};
+    FaultSet two{FaultId::SumEmptyZero, FaultId::LikeUnderscoreLiteral};
+    EXPECT_EQ(fired(one, ExecMode::Batch), one);
+    EXPECT_TRUE(fired(one, ExecMode::Optimized).empty());
+    EXPECT_TRUE(fired(two, ExecMode::Batch).empty());
+#endif
 }
 
 TEST(FaultTest, IndexRangeGtIncludesEqual)

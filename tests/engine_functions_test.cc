@@ -4,6 +4,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "engine/database.h"
 #include "engine/functions.h"
 
@@ -155,6 +157,28 @@ TEST(FunctionsTest, StringGuards)
               ErrorCode::RuntimeError);
     EXPECT_EQ(evalError("CHR(0)").code(), ErrorCode::RuntimeError);
     EXPECT_TRUE(evalSql("ASCII('')").isNull());
+}
+
+TEST(FunctionsTest, RepeatEmptyTextReturnsAtOnce)
+{
+    // Empty text repeated any number of times is empty; looping over
+    // the count would run for centuries at INT64_MAX.
+    auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(evalSql("REPEAT('', 9223372036854775807)").asText(), "");
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(1));
+    EXPECT_EQ(evalSql("REPEAT('', 3)").asText(), "");
+}
+
+TEST(FunctionsTest, RepeatLengthGuardCannotOverflow)
+{
+    // 2 * 2^62 wraps int64_t to a negative length.
+    EXPECT_EQ(evalError("REPEAT('ab', 4611686018427387904)").code(),
+              ErrorCode::RuntimeError);
+    // The bound stays exact: 65536 bytes pass, 65538 do not.
+    EXPECT_EQ(evalSql("REPEAT('ab', 32768)").asText().size(), 65536u);
+    EXPECT_EQ(evalError("REPEAT('ab', 32769)").code(),
+              ErrorCode::RuntimeError);
 }
 
 TEST(FunctionsTest, NullConditionals)

@@ -285,6 +285,21 @@ INSTANTIATE_TEST_SUITE_P(
         return faultName(info.param);
     });
 
+} // namespace
+
+/**
+ * Prints a profile parameter as its dialect name. gtest's default prints
+ * the pointer, whose heap address varies from run to run and would make
+ * the listed test names (and so the registered ctest names) unstable.
+ */
+void
+PrintTo(const DialectProfile *profile, std::ostream *os)
+{
+    *os << profile->name;
+}
+
+namespace {
+
 /** Campaign smoke across every campaign dialect. */
 class DialectCampaignSmokeTest
     : public ::testing::TestWithParam<const DialectProfile *>
